@@ -11,17 +11,27 @@ bracket. Multilinearity and total antisymmetry reduce the check to basis
 tuples with strictly ascending indices; repeated-index tuples vanish
 identically on both sides (a randomized full-tuple cross-check of this
 reduction lives in the tests).
+
+The two hot loops, check_jacobi and table_in_basis, run on integers.
+Both sides of the identity are quadratic in the structure constants, so
+multiplying the table by the lcm L of its denominators multiplies every
+residual by L**2: the scaled table violates the identity at exactly the
+same places, and dividing its residuals by L**2 gives the exact ones.
+table_in_basis clears the basis matrix and its inverse the same way and
+sums integer (Bareiss) minors; each result entry becomes one Fraction.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, InvalidAlgebra
-from .exactlin import Matrix, det, invert, kernel_basis, rank, rat, rref
+from .exactlin import (Matrix, _bareiss, clear_denominators, det, invert,
+                       kernel_basis, rank, rat, rref)
 
 Vector = Tuple[Fraction, ...]
 
@@ -176,31 +186,81 @@ class JacobiReport:
     violations: Tuple[Violation, ...]
 
 
+def _cleared_rows(rows, width: int):
+    """Rows of rationals times L, the lcm of all their denominators, as int
+    lists; returns (int rows, L)."""
+    flat, scale = clear_denominators([x for row in rows for x in row])
+    return [flat[i:i + width] for i in range(0, len(flat), width)], scale
+
+
+def _int_table(a: Algebra):
+    """The table times L, the lcm of all its denominators, as int lists."""
+    rows, scale = _cleared_rows(a.table.values(), a.dim)
+    return dict(zip(a.table, rows)), scale
+
+
+def _ad_columns(ints, y: Tuple[int, ...], d: int):
+    """Columns [e_k, y] of ad_y for an ascending tuple y, read off an
+    integer table; None marks a zero column."""
+    cols = []
+    for k in range(d):
+        p = bisect_left(y, k)
+        value = None
+        if p == len(y) or y[p] != k:
+            value = ints.get(y[:p] + (k,) + y[p:])
+        if value is not None and p % 2:
+            value = [-v for v in value]
+        cols.append(value)
+    return cols
+
+
+def _apply_columns(cols, vec, d: int):
+    """Sum of vec[k] times column k, on integers."""
+    out = [0] * d
+    for c, col in zip(vec, cols):
+        if c and col is not None:
+            out = [o + c * v for o, v in zip(out, col)]
+    return out
+
+
 def check_jacobi(a: Algebra) -> JacobiReport:
     """Check the derivation identity on every (x-combination, y-tuple) pair.
 
     x runs over all ascending n-combinations, y over ascending (n-1)-tuples.
     Returns the complete list of violated pairs with residual vectors.
+
+    Runs on the integer table L*a (see the module docstring).  With
+    ad_y = [., y] and [x] the bracket of the basis vectors in x, the
+    residual at (x, y) is ad_y([x]) minus the sum over i of
+    (-1)**i ad_(x without x_i)(ad_y e_(x_i)); each ad_y is read off the
+    table once, and every residual of the scaled table is L**2 times the
+    true one.
     """
     n, d = a.arity, a.dim
-    bad = []
+    ints, scale = _int_table(a)
+    square = scale * scale
     y_tuples = list(combinations(range(d), n - 1))
+    ad = {y: _ad_columns(ints, y, d) for y in y_tuples}
+    bad = []
     for x in combinations(range(d), n):
-        inner = a.table.get(x)
+        inner = ints.get(x)
+        outer = [(x[i], -1 if i % 2 else 1, ad[x[:i] + x[i + 1:]])
+                 for i in range(n)]
         for y in y_tuples:
-            lhs = (_bracket_insert(a, inner, y, 0) if inner is not None
-                   else zero_vec(d))
-            rhs = list(zero_vec(d))
-            for i in range(n):
-                step = a.bracket_on_basis((x[i],) + y)
-                if not any(step):
+            ad_y = ad[y]
+            residual = _apply_columns(ad_y, inner, d) if inner else [0] * d
+            for xi, sign, ad_rest in outer:
+                step = ad_y[xi]
+                if step is None:
                     continue
-                others = x[:i] + x[i + 1:]
-                term = _bracket_insert(a, step, others, i)
-                rhs = [p + q for p, q in zip(rhs, term)]
-            residual = tuple(p - q for p, q in zip(lhs, rhs))
+                term = _apply_columns(ad_rest, step, d)
+                if sign > 0:
+                    residual = [p - q for p, q in zip(residual, term)]
+                else:
+                    residual = [p + q for p, q in zip(residual, term)]
             if any(residual):
-                bad.append(Violation(x, y, residual))
+                bad.append(Violation(x, y, tuple(Fraction(r, square)
+                                                  for r in residual)))
     return JacobiReport(ok=not bad, violations=tuple(bad))
 
 
@@ -358,18 +418,41 @@ def ad_map(a: Algebra, fixed: Sequence[Sequence]) -> Matrix:
     return Matrix.from_columns(cols)
 
 
+def _int_minor(rows, pick_rows, pick_cols) -> int:
+    """Determinant of an integer submatrix, by Bareiss elimination."""
+    sub = [[rows[i][j] for j in pick_cols] for i in pick_rows]
+    count, sign, last = _bareiss(sub)
+    return sign * last if count == len(sub) else 0
+
+
 def table_in_basis(a: Algebra, t: Matrix, t_inverse: Optional[Matrix] = None) -> Algebra:
-    """The same algebra written in the basis given by the columns of t."""
+    """The same algebra written in the basis given by the columns of t.
+
+    The bracket of columns C of t is the sum over table keys S of
+    det(t[S, C]) times the value at S (as in bracket_eval); the sum runs on
+    integers, with t, its inverse and the table each cleared of
+    denominators once, and one Fraction is built per output entry.
+    """
     if t.rows != a.dim or t.cols != a.dim:
         raise DimensionMismatch("basis matrix has wrong shape")
+    n, d = a.arity, a.dim
     tinv = t_inverse if t_inverse is not None else invert(t)
-    cols = t.columns()
+    t_rows, t_scale = _cleared_rows(t.entries, d)
+    inv_rows, inv_scale = _cleared_rows(tinv.entries, d)
+    ints, scale = _int_table(a)
+    denominator = scale * inv_scale * t_scale ** n
     new_table = {}
-    for combo in combinations(range(a.dim), a.arity):
-        value = bracket_eval(a, [cols[i] for i in combo])
+    for combo in combinations(range(d), n):
+        value = [0] * d
+        for key, entry in ints.items():
+            minor = _int_minor(t_rows, key, combo)
+            if minor:
+                value = [v + minor * e for v, e in zip(value, entry)]
         if any(value):
-            new_table[combo] = tinv.apply(value)
-    return Algebra(a.arity, a.dim, new_table)
+            new_table[combo] = tuple(
+                Fraction(sum(m * v for m, v in zip(row, value)), denominator)
+                for row in inv_rows)
+    return Algebra(n, d, new_table)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from .algebra import Algebra, InvariantSignature, invariant_signature
-from .errors import InvalidParameter, UnsupportedArity
+from .errors import InvalidParameter, NlieError, UnsupportedArity
 from .exactlin import factorize, rat, rational_cbrt
 
 NP1_FAMILIES = ("A_ab", "B1", "B2", "C1", "C2", "C3", "D_r")
@@ -278,7 +278,9 @@ def d7_canonical_triple(s, t, u):
         r_cubed_inv *= Fraction(p) ** (e - e % 3)
     scale_cubed = Fraction(target, abs(s))  # = r^3 for the |r| we want
     r = rational_cbrt(scale_cubed)
-    assert r is not None and r > 0
+    if r is None or r <= 0:
+        raise NlieError(f"no positive rational cube root of {scale_cubed} "
+                        "while canonicalizing the d7 triple")
     if s < 0:
         r = -r
     return (r ** 3 * s, r ** 2 * t, r * u)
@@ -339,7 +341,9 @@ def d7_equivalent(p, q) -> D7Equivalence:
         if (s / s2) ** 2 != ratio ** 3:
             return _D7_NO
         r = (s / s2) / ratio
-        assert check(r)
+        if not check(r):
+            raise NlieError(f"the forced ratio {r} does not carry one d7 "
+                            "triple onto the other")
         return _d7_yes(r)
     if t != 0:
         return _D7_NO

@@ -50,6 +50,7 @@ from .errors import (
     ArityBoundViolated,
     DimensionMismatch,
     InvalidAlgebra,
+    NlieError,
     UnsupportedArity,
 )
 from .exactlin import (
@@ -57,6 +58,7 @@ from .exactlin import (
     det,
     factorize,
     invert,
+    iroot,
     kernel_basis,
     rank,
     rational_cbrt,
@@ -239,29 +241,6 @@ def _validate(a: Algebra, codim: int) -> None:
 # rational roots
 
 
-def _int_kth_root(m: int, k: int) -> Optional[int]:
-    if m == 1:
-        return 1
-    root = 1
-    left = m
-    p = 2
-    while p * p <= left:
-        if left % p == 0:
-            e = 0
-            while left % p == 0:
-                left //= p
-                e += 1
-            if e % k:
-                return None
-            root *= p ** (e // k)
-        p += 1 if p == 2 else 2
-    if left > 1:
-        if k > 1:
-            return None
-        root *= left
-    return root
-
-
 def _kth_roots(q: Fraction, k: int) -> Tuple[Fraction, ...]:
     """All rational solutions of x**k == q."""
     if q == 0:
@@ -269,9 +248,9 @@ def _kth_roots(q: Fraction, k: int) -> Tuple[Fraction, ...]:
     if q < 0 and k % 2 == 0:
         return ()
     mag = abs(q)
-    rn = _int_kth_root(mag.numerator, k)
-    rd = _int_kth_root(mag.denominator, k)
-    if rn is None or rd is None:
+    rn = iroot(mag.numerator, k)
+    rd = iroot(mag.denominator, k)
+    if rn ** k != mag.numerator or rd ** k != mag.denominator:
         return ()
     root = Fraction(rn, rd)
     if k % 2 == 1:
@@ -287,24 +266,42 @@ def _square_class(x: Fraction) -> int:
 # dimension n+1
 
 
-def classify(a: Algebra) -> Verdict:
-    """Route to the classifier matching the algebra's dimension."""
+def _codim(a: Algebra) -> int:
     if a.arity < 3:
         raise UnsupportedArity(
             f"classification needs arity at least 3, got {a.arity}")
     codim = a.dim - a.arity
-    if codim == 1:
+    if codim not in (1, 2):
+        raise DimensionMismatch(
+            f"classification covers dimensions n+1 and n+2; "
+            f"got dimension {a.dim} at arity {a.arity}")
+    return codim
+
+
+def classify(a: Algebra) -> Verdict:
+    """Route to the classifier matching the algebra's dimension."""
+    if _codim(a) == 1:
         return classify_np1(a)
-    if codim == 2:
-        return classify_np2(a)
-    raise DimensionMismatch(
-        f"classification covers dimensions n+1 and n+2; "
-        f"got dimension {a.dim} at arity {a.arity}")
+    return classify_np2(a)
+
+
+def _classify_valid(a: Algebra) -> Verdict:
+    """classify for a table known to satisfy the derivation identity: the
+    caller has checked it, or built the table from a checked one (a direct
+    summand's core, a quotient by a central ideal).  Shape errors still
+    raise as in classify."""
+    if _codim(a) == 1:
+        return _classify_np1(a)
+    return _classify_np2(a)
 
 
 def classify_np1(a: Algebra) -> Verdict:
     """Classify an algebra of dimension one above its arity."""
     _validate(a, 1)
+    return _classify_np1(a)
+
+
+def _classify_np1(a: Algebra) -> Verdict:
     der = derived_subalgebra(a)
     frame = _Frame(a)
     if der.dim == 0:
@@ -599,7 +596,10 @@ def _ternary_zero(aq: Fraction, bq: Fraction,
         return None
     x, y, z = sol
     out = (mult[0] * y, mult[1] * z, mult[2] * Fraction(x, c))
-    assert aq * out[0] ** 2 + bq * out[1] ** 2 + cq * out[2] ** 2 == 0
+    if aq * out[0] ** 2 + bq * out[1] ** 2 + cq * out[2] ** 2 != 0:
+        raise NlieError(f"the ternary form ({aq}, {bq}, {cq}) does not vanish "
+                        "at the constructed zero; this is a bug in the "
+                        "classifier")
     return out
 
 
@@ -952,6 +952,10 @@ def _np1_rank_high(a: Algebra, frame: _Frame, der: Subspace) -> Verdict:
 def classify_np2(a: Algebra) -> Verdict:
     """Classify an algebra of dimension two above its arity."""
     _validate(a, 2)
+    return _classify_np2(a)
+
+
+def _classify_np2(a: Algebra) -> Verdict:
     n = a.arity
     der = derived_subalgebra(a)
     if der.dim > n + 1:
@@ -1014,7 +1018,7 @@ def _np2_split_central(a: Algebra, frame: _Frame,
         return _unresolved(a, (f"central summand has dimension {ncentral}, "
                                "expected a line",))
     frame.push(change, "split the central line off")
-    inner = classify_np1(core)
+    inner = _classify_valid(core)
     if inner.status == UNRESOLVED:
         return _unresolved(a, ("the core one dimension down did not resolve",)
                            + inner.notes, frame.steps)
@@ -1568,7 +1572,7 @@ def _np2_rank_high(a: Algebra, frame: _Frame, der: Subspace) -> Verdict:
     quotient = Algebra(n, d - 1,
                        {key: val[:-1] for key, val in
                         frame.current.table.items() if (d - 1) not in key})
-    inner = classify_np1(quotient)
+    inner = _classify_valid(quotient)
     if inner.status == UNRESOLVED:
         return _unresolved(a, ("the quotient by the center line did not "
                                "resolve",) + inner.notes, frame.steps)

@@ -27,7 +27,7 @@ from .algebra import (
     table_in_basis,
 )
 from .catalog import ClassLabel, canonical, np1_labels, np2_labels
-from .classify import EXACT, FAMILY_ONLY, UNRESOLVED, classify
+from .classify import EXACT, FAMILY_ONLY, UNRESOLVED, _classify_valid
 from .errors import InvalidParameter, NlieError
 from .io import parse_algebra, parse_matrix, serialize_algebra, serialize_matrix
 from .transform import (
@@ -265,7 +265,7 @@ def _cmd_classify(args) -> int:
     failed = _require_valid(a, args.json)
     if failed is not None:
         return failed
-    verdict = classify(a)
+    verdict = _classify_valid(a)
     if args.witness_out is not None and verdict.witness is not None:
         _write_text(args.witness_out, serialize_matrix(verdict.witness))
     if args.json:

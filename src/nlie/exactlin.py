@@ -143,24 +143,23 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
+def clear_denominators(values):
+    """Integers L*v for the rational values v, where L is the lcm of their
+    denominators; returns (int list, L)."""
+    vals = [rat(v) for v in values]
+    mult = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (mult // v.denominator) for v in vals], mult
+
+
 def _cleared_int_rows(m: Matrix):
     """Rows scaled to integers; returns (int rows, product of scale factors)."""
     out = []
-    total = Fraction(1)
+    total = 1
     for row in m.entries:
-        mult = 1
-        for x in row:
-            d = x.denominator
-            mult = mult * d // _gcd(mult, d)
+        ints, mult = clear_denominators(row)
         total *= mult
-        out.append([int(x * mult) for x in row])
+        out.append(ints)
     return out, total
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _bareiss(rows):
@@ -210,7 +209,7 @@ def det(m: Matrix) -> Fraction:
     count, sign, last = _bareiss(rows)
     if count < m.rows:
         return Fraction(0)
-    return Fraction(sign * last) / scale
+    return Fraction(sign * last, scale)
 
 
 def rref(m: Matrix):
@@ -389,25 +388,31 @@ def rational_sqrt(x) -> Optional[Fraction]:
     return None
 
 
-def _icbrt(m: int) -> Optional[int]:
-    if m == 0:
-        return 0
-    r = round(m ** (1 / 3))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c * c * c == m:
-            return c
-    return None
+def iroot(m: int, k: int) -> int:
+    """Floor of the k-th root of a nonnegative integer, by integer Newton
+    steps (math.isqrt for square roots); exact at any size."""
+    if m < 0 or k < 1:
+        raise ValueError("iroot needs m >= 0 and k >= 1")
+    if k == 1 or m < 2:
+        return m
+    if k == 2:
+        return math.isqrt(m)
+    x = 1 << -(-m.bit_length() // k)  # above the root
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def rational_cbrt(x) -> Optional[Fraction]:
     """Rational cube root (sign preserved), or None."""
     q = rat(x)
-    sign = -1 if q < 0 else 1
-    rn = _icbrt(abs(q.numerator))
-    rd = _icbrt(q.denominator)
-    if rn is None or rd is None:
+    rn = iroot(abs(q.numerator), 3)
+    rd = iroot(q.denominator, 3)
+    if rn ** 3 != abs(q.numerator) or rd ** 3 != q.denominator:
         return None
-    return Fraction(sign * rn, rd)
+    return Fraction(-rn if q < 0 else rn, rd)
 
 
 def ascending_pairs(d: int):

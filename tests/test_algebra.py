@@ -6,9 +6,11 @@ check_jacobi's basis-tuple reduction.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nlie.algebra import (
@@ -27,8 +29,9 @@ from nlie.algebra import (
     unit_vec,
     zero_vec,
 )
-from nlie.errors import DimensionMismatch, InvalidAlgebra
-from nlie.exactlin import Matrix
+from nlie.catalog import canonical, np1_labels
+from nlie.errors import DimensionMismatch, InvalidAlgebra, SingularMatrix
+from nlie.exactlin import Matrix, det, invert
 
 F = Fraction
 
@@ -219,6 +222,76 @@ class TestJacobi:
         assert jacobi_residual_on_vectors(a, xs, ys) == zero_vec(5)
 
 
+mixed_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+nonzero_rationals = mixed_rationals.filter(bool)
+
+# Valid tables at arity 3 (dims 4 and 5) and arity 4 (dim 5).
+VALID_TABLES = (VALID_FIXTURES + [canonical(3, lab) for lab in np1_labels(3)]
+                + [canonical(4, lab) for lab in np1_labels(4)])
+
+
+@st.composite
+def random_tables(draw, dims=((3, 4), (3, 5), (4, 5))):
+    """Tables with mixed denominators; almost all violate the identity."""
+    n, d = draw(st.sampled_from(dims))
+    keys = draw(st.lists(st.sampled_from(list(combinations(range(d), n))),
+                         min_size=1, max_size=4, unique=True))
+    return Algebra(n, d, {key: draw(st.lists(mixed_rationals, min_size=d, max_size=d))
+                          for key in keys})
+
+
+@st.composite
+def rescaled_valid_tables(draw):
+    """A valid table times a constant, in the basis lam_i e_i: still valid
+    (the identity is homogeneous), now with mixed denominators."""
+    a = draw(st.sampled_from(VALID_TABLES))
+    c = draw(nonzero_rationals)
+    lam = draw(st.lists(nonzero_rationals, min_size=a.dim, max_size=a.dim))
+    return Algebra(a.arity, a.dim, {
+        key: [c * prod(lam[i] for i in key) * value[r] / lam[r] for r in range(a.dim)]
+        for key, value in a.table.items()})
+
+
+def oracle_violations(a):
+    """(x, y, residual) for every ascending basis pair the literal identity
+    fails on, in check_jacobi's order (x lex, then y lex)."""
+    e = [unit_vec(a.dim, i) for i in range(a.dim)]
+    out = []
+    for x in combinations(range(a.dim), a.arity):
+        for y in combinations(range(a.dim), a.arity - 1):
+            r = jacobi_residual_on_vectors(a, [e[i] for i in x], [e[j] for j in y])
+            if any(r):
+                out.append((x, y, r))
+    return out
+
+
+class TestJacobiAgainstOracle:
+    """check_jacobi runs on the denominator-cleared integer table; the oracle
+    evaluates the identity with bracket_eval on Fractions."""
+
+    def assert_matches_oracle(self, a):
+        report = check_jacobi(a)
+        want = oracle_violations(a)
+        assert [(v.x_combo, v.y_tuple, v.residual) for v in report.violations] == want
+        assert report.ok == (not want)
+
+    @given(random_tables())
+    @settings(max_examples=30, deadline=None)
+    def test_random_tables(self, a):
+        self.assert_matches_oracle(a)
+
+    @given(rescaled_valid_tables())
+    @settings(max_examples=20, deadline=None)
+    def test_rescaled_valid_tables(self, a):
+        assert check_jacobi(a).ok
+        self.assert_matches_oracle(a)
+
+    def test_broken_fixture(self):
+        self.assert_matches_oracle(BROKEN)
+        self.assert_matches_oracle(Algebra(3, 5, {key: [x / 6 for x in value]
+                                                  for key, value in BROKEN.table.items()}))
+
+
 class TestSubspace:
     def test_from_vectors_echelon(self):
         s = Subspace.from_vectors(3, [(1, 1, 0), (2, 2, 0), (0, 0, 1)])
@@ -391,3 +464,41 @@ class TestStripCentralSummand:
         again, stripped, _ = strip_central_summand(core)
         assert stripped == 0
         assert again.dim == core.dim
+
+
+def table_in_basis_oracle(a, t):
+    """The rebased table entry by entry: t^-1 applied to the bracket of the
+    new basis vectors, on Fractions."""
+    tinv, cols = invert(t), t.columns()
+    return Algebra(a.arity, a.dim, {
+        combo: tinv.apply(bracket_eval(a, [cols[i] for i in combo]))
+        for combo in combinations(range(a.dim), a.arity)})
+
+
+class TestRebaseAgainstOracle:
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rational_basis_changes(self, data):
+        # dimensions n+1 and n+2 at arity 3 and 4
+        a = data.draw(random_tables(dims=((3, 4), (3, 5), (4, 5), (4, 6))))
+        rows = data.draw(st.lists(st.lists(mixed_rationals, min_size=a.dim, max_size=a.dim),
+                                  min_size=a.dim, max_size=a.dim))
+        t = Matrix(rows)
+        assume(det(t) != 0 and any(x.denominator > 1 for row in rows for x in row))
+        assert table_in_basis(a, t) == table_in_basis_oracle(a, t)
+
+    @given(rescaled_valid_tables())
+    @settings(max_examples=10, deadline=None)
+    def test_valid_tables_under_a_rational_shear(self, a):
+        cols = [u(a.dim, i) for i in range(a.dim)]
+        cols[0] = tuple(F(1, 3) * (i + 1) for i in range(a.dim))
+        t = Matrix.from_columns(cols)
+        moved = table_in_basis(a, t)
+        assert moved == table_in_basis_oracle(a, t)
+        assert check_jacobi(moved).ok
+
+    def test_singular_basis_raises(self):
+        t = Matrix.from_columns([u(5, 0), u(5, 1), u(5, 2), u(5, 3),
+                                 tuple(F(1, 2) * x for x in (1, 1, 0, 0, 0))])
+        with pytest.raises(SingularMatrix):
+            table_in_basis(JORDAN_LIKE, t)

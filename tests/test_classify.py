@@ -1,3 +1,5 @@
+import importlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,9 @@ from nlie.classify import (
 )
 from nlie.errors import DimensionMismatch, InvalidAlgebra, UnsupportedArity
 from nlie.exactlin import Matrix, invert
-from nlie.transform import random_basis_change, verify_isomorphism
+from nlie.transform import (
+    change_basis_multilinear, random_basis_change, verify_isomorphism,
+)
 
 F = Fraction
 
@@ -290,3 +294,69 @@ class TestTernaryZero:
         # a x^2 - a y^2 + b z^2 always vanishes on (1, 1, 0)
         sol = _ternary_zero(F(a), F(-a), F(b))
         assert sol is not None
+
+
+def counting_check_jacobi(monkeypatch, *modules):
+    """Replace check_jacobi in the given modules by one counting wrapper."""
+    real = importlib.import_module("nlie.algebra").check_jacobi
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    for name in modules:
+        monkeypatch.setattr(importlib.import_module(name), "check_jacobi", counted)
+    return calls
+
+
+class TestValidateOnce:
+    """classify checks the derivation identity once, at the public entry;
+    the cores and quotients it reclassifies are valid by construction."""
+
+    @pytest.mark.parametrize("lab", [ClassLabel("r2", r=4), ClassLabel("c5", alpha=F(2)),
+                                     ClassLabel("d4")])
+    def test_split_central_input(self, monkeypatch, lab):
+        moved = conjugated(3, lab, seed=11)[1]
+        calls = counting_check_jacobi(monkeypatch, "nlie.classify")
+        verdict = classify(moved)
+        assert verdict.status == EXACT and verdict.label == lab
+        assert any(step.reason.startswith("core: ") for step in verdict.steps)
+        assert calls == [moved]
+
+    def test_quotient_input(self, monkeypatch):
+        lab = ClassLabel("r1", r=4)
+        moved = conjugated(3, lab, seed=11)[1]
+        calls = counting_check_jacobi(monkeypatch, "nlie.classify")
+        verdict = classify(moved)
+        assert verdict.status == EXACT and verdict.label == lab
+        assert any(step.reason.startswith("quotient: ") for step in verdict.steps)
+        assert calls == [moved]
+
+    def test_each_public_entry_validates(self, monkeypatch):
+        calls = counting_check_jacobi(monkeypatch, "nlie.classify")
+        classify_np1(canonical(3, ClassLabel("D_r", r=4)))
+        classify_np2(canonical(3, ClassLabel("r1", r=4)))
+        assert len(calls) == 2
+
+
+class TestLargeHeight:
+    def test_d7_triple_with_a_huge_cube(self):
+        # the cube root behind the d7 canonical triple used to go through a
+        # float and fail with a bare AssertionError
+        lab = ClassLabel("d7", stu=(2 * (1000000007 * 998244353) ** 3, 0, 1))
+        a = canonical(3, lab)
+        verdict = classify(a)
+        assert verdict.status == EXACT
+        assert verify_isomorphism(a, canonical(3, verdict.label), verdict.witness)
+
+    def test_d_r_under_a_large_basis_change_returns(self):
+        # the congruence step's k-th root used to trial-divide up to the
+        # square root of a number of about 60 digits
+        a = change_basis_multilinear(canonical(3, ClassLabel("D_r", r=4)),
+                                     random_basis_change(4, seed=2025, bound=1000))
+        start = time.perf_counter()
+        verdict = classify(a)
+        assert time.perf_counter() - start < 30
+        assert verdict.status in (EXACT, FAMILY_ONLY)
+        assert verdict.label == ClassLabel("D_r", r=4)

@@ -5,6 +5,7 @@ code plus captured output; one subprocess test at the bottom confirms
 ``python3 -m nlie`` is wired up.
 """
 
+import importlib
 import json
 import subprocess
 import sys
@@ -250,6 +251,30 @@ class TestClassify:
                          "--witness", str(wfile))
         assert code == 0
         parse_matrix(wfile.read_text())
+
+    def test_checks_the_identity_once(self, capsys, tmp_path, monkeypatch):
+        # c3 splits a central line off and reclassifies the core
+        path = self.moved_file(tmp_path, ClassLabel("c3"))
+        real = importlib.import_module("nlie.algebra").check_jacobi
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return real(a)
+
+        for name in ("nlie.cli", "nlie.classify"):
+            monkeypatch.setattr(importlib.import_module(name), "check_jacobi", counted)
+        code, out, _ = run(capsys, "classify", path)
+        assert code == 0 and "class: c3" in out
+        assert len(calls) == 1
+
+    def test_valid_table_outside_the_dimension_window(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(serialize_algebra(Algebra.abelian(3, 6)))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and out == ""
+        assert err == ("error: classification covers dimensions n+1 and n+2; "
+                       "got dimension 6 at arity 3\n")
 
     def test_family_only_exits_zero(self, capsys, tmp_path):
         a = Algebra(3, 4, {(1, 2, 3): unit(4, 0, -1),

@@ -273,3 +273,50 @@ def test_roots_invert_powers(x):
     from nlie.exactlin import rational_cbrt, rational_sqrt
     assert rational_sqrt(rat(x) ** 2) == abs(rat(x))
     assert rational_cbrt(rat(x) ** 3) == rat(x)
+
+
+def test_rational_cbrt_at_large_height():
+    from nlie.exactlin import rational_cbrt
+    # a float cube root misses the first and overflows on the second
+    assert rational_cbrt((10**60 + 7) ** 3) == 10**60 + 7
+    assert rational_cbrt((10**110 + 3) ** 3) == 10**110 + 3
+    assert rational_cbrt(Fraction(-(10**40 + 1) ** 3, 7**90)) == Fraction(-(10**40 + 1), 7**30)
+    assert rational_cbrt((10**60 + 7) ** 3 + 1) is None
+
+
+def test_iroot_small_values():
+    from nlie.exactlin import iroot
+    assert [iroot(m, 3) for m in range(28)] == [0] + [1] * 7 + [2] * 19 + [3]
+    assert iroot(0, 5) == 0 and iroot(1, 5) == 1 and iroot(31, 5) == 1
+    assert iroot(32, 5) == 2 and iroot(17, 1) == 17
+    with pytest.raises(ValueError):
+        iroot(-1, 3)
+    with pytest.raises(ValueError):
+        iroot(8, 0)
+
+
+@given(st.integers(min_value=0, max_value=10**200), st.integers(min_value=1, max_value=9))
+def test_iroot_is_the_floor_root(m, k):
+    from nlie.exactlin import iroot
+    r = iroot(m, k)
+    assert r ** k <= m < (r + 1) ** k
+
+
+@given(st.integers(min_value=0, max_value=10**60), st.integers(min_value=2, max_value=7))
+def test_iroot_inverts_powers(r, k):
+    from nlie.exactlin import iroot
+    assert iroot(r ** k, k) == r
+
+
+@given(st.lists(st.fractions(max_denominator=60), max_size=8))
+def test_clear_denominators(values):
+    from math import gcd
+    from nlie.exactlin import clear_denominators
+    ints, scale = clear_denominators(values)
+    assert all(type(v) is int for v in ints)
+    assert [Fraction(v, scale) for v in ints] == values
+    # the smallest such scale: no prime divides it and every integer
+    common = scale
+    for v in ints:
+        common = gcd(common, v)
+    assert common == 1
