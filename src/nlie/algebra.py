@@ -44,10 +44,6 @@ def unit_vec(d: int, i: int) -> Vector:
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(d))
 
 
-def add_vec(a: Sequence, b: Sequence) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def scale_vec(c, a: Sequence) -> Vector:
     c = rat(c)
     return tuple(c * x for x in a)

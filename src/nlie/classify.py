@@ -55,6 +55,7 @@ from .errors import (
 )
 from .exactlin import (
     Matrix,
+    clear_denominators,
     det,
     factorize,
     invert,
@@ -207,8 +208,8 @@ def _exact(a: Algebra, frame: _Frame, label: ClassLabel, n: int) -> Verdict:
                            frame.steps)
     witness = invert(frame.total)
     if not verify_isomorphism(a, canon, witness):
-        raise RuntimeError(f"witness verification failed for {label}; "
-                           "this is a bug in the classifier")
+        raise NlieError(f"witness verification failed for {label}; "
+                        "this is a bug in the classifier")
     return Verdict(EXACT, label, witness, steps=tuple(frame.steps))
 
 
@@ -508,11 +509,8 @@ def _strip_square(v: int) -> Tuple[int, int]:
 
 
 def _clear_triple(x: Fraction, y: Fraction, z: Fraction) -> Tuple[int, int, int]:
-    mult = 1
-    for v in (x, y, z):
-        mult = mult * v.denominator // gcd(mult, v.denominator)
-    ints = [int(v * mult) for v in (x, y, z)]
-    g = gcd(gcd(abs(ints[0]), abs(ints[1])), abs(ints[2]))
+    ints, _ = clear_denominators((x, y, z))
+    g = gcd(*ints)
     return ints[0] // g, ints[1] // g, ints[2] // g
 
 
@@ -563,11 +561,7 @@ def _ternary_zero(aq: Fraction, bq: Fraction,
     The coefficient reductions are equivalences and the descent detects
     insolubility, so None means no rational zero exists.
     """
-    coeffs = [Fraction(aq), Fraction(bq), Fraction(cq)]
-    lcm = 1
-    for v in coeffs:
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    vals = [int(v * lcm) for v in coeffs]
+    vals, _ = clear_denominators((aq, bq, cq))
     mult = [Fraction(1)] * 3
     for i in range(3):
         stripped, root = _strip_square(vals[i])
@@ -603,6 +597,13 @@ def _ternary_zero(aq: Fraction, bq: Fraction,
     return out
 
 
+def _cleared_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
+    """The rows times the lcm of all their denominators, as integers."""
+    width = len(rows[0])
+    ints, _ = clear_denominators([x for row in rows for x in row])
+    return [ints[i:i + width] for i in range(0, len(ints), width)]
+
+
 def _pair_value(g: Matrix, x: Sequence[Fraction],
                 y: Sequence[Fraction]) -> Fraction:
     return sum(p * q for p, q in zip(x, g.apply(y)))
@@ -614,13 +615,8 @@ def _primitive(vec: Sequence[Fraction]) -> Vector:
     Keeps the numbers fed to the factoring steps small; every caller is
     free to rescale since only zero sets and square classes matter.
     """
-    mult = 1
-    for v in vec:
-        mult = mult * v.denominator // gcd(mult, v.denominator)
-    ints = [int(v * mult) for v in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    ints, _ = clear_denominators(vec)
+    g = gcd(*ints)
     if g <= 1:
         return tuple(Fraction(x) for x in ints)
     return tuple(Fraction(x // g) for x in ints)
@@ -663,12 +659,7 @@ def _ortho_complement(g: Matrix, zs: Sequence[Vector]):
 
 def _short_pivot(g: Matrix, comp: Sequence[Vector]) -> Optional[Vector]:
     """Small complement combination with minimal nonzero form value."""
-    sub = Matrix([[_pair_value(g, u, v) for v in comp] for u in comp])
-    lcm = 1
-    for row in sub.entries:
-        for x in row:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    rows = [[int(x * lcm) for x in row] for row in sub.entries]
+    rows = _cleared_rows([[_pair_value(g, u, v) for v in comp] for u in comp])
     k = len(comp)
     best = None
     best_val = None
@@ -705,7 +696,7 @@ def _diagonal_split(g: Matrix) -> Tuple[List[Vector], List[Fraction]]:
             crossing = next(((u, v) for u in comp for v in comp
                              if _pair_value(g, u, v)), None)
             if crossing is None:
-                raise RuntimeError("degenerate block in a nonsingular form")
+                raise NlieError("degenerate block in a nonsingular form")
             pick = _primitive(tuple(x + y for x, y in zip(*crossing)))
         chosen.append(pick)
         vals.append(_pair_value(g, pick, pick))
@@ -714,11 +705,7 @@ def _diagonal_split(g: Matrix) -> Tuple[List[Vector], List[Fraction]]:
 
 def _grid_isotropic(g: Matrix, top: int, budget: int) -> Optional[Vector]:
     """Scan small integer vectors for a zero of the form; None on a miss."""
-    lcm = 1
-    for row in g.entries:
-        for x in row:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    rows = [[int(x * lcm) for x in row] for row in g.entries]
+    rows = _cleared_rows(g.entries)
     r = g.cols
     for v in _grid(r, top):
         budget -= 1
@@ -851,14 +838,8 @@ def _orthogonal_frame(g: Matrix, eps: Sequence[int],
 
 def _congruence_from_frame(g: Matrix, eps: Sequence[int],
                            lam: Fraction) -> Optional[Matrix]:
-    lcm = 1
-    for row in g.entries:
-        for x in row:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    shared = 0
-    for row in g.entries:
-        for x in row:
-            shared = gcd(shared, int(x * lcm))
+    ints, lcm = clear_denominators([x for row in g.entries for x in row])
+    shared = gcd(*ints)
     mult = Fraction(lcm, shared) if shared else Fraction(1)
     zs = _orthogonal_frame(mult * g, eps, mult * lam)
     if zs is None:

@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package funnels through the small kit in this module:
-an immutable Matrix of `fractions.Fraction` entries, rank/det via
-fraction-free (Bareiss) elimination on denominator-cleared rows, and
-reduced row echelon form for kernels, inverses and solving. Pivot choice
-is always the first nonzero entry in column order, so results are
-deterministic and reproducible.
+an immutable Matrix of `fractions.Fraction` entries and fraction-free
+elimination on denominator-cleared integer rows. Rank and determinant use
+Bareiss's echelon loop; reduced row echelon form, and through it kernels,
+inverses, solving and subspaces, uses the same exact-division step carried
+to reduced form (fraction-free Gauss-Jordan). Every intermediate entry is
+an integer; Fractions are built once, at the end. Pivot choice is always
+the first nonzero entry in column order, so results are deterministic and
+reproducible.
 """
 
 from __future__ import annotations
@@ -212,31 +215,61 @@ def det(m: Matrix) -> Fraction:
     return Fraction(sign * last, scale)
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form. Returns (Matrix, pivot column indices)."""
-    rows = [list(r) for r in m.entries]
+def _rref_ints(m: Matrix):
+    """Fraction-free Gauss-Jordan elimination (Bareiss's exact division
+    carried above the pivot as well as below it) on denominator-cleared
+    rows.
+
+    After the step with pivot p, every other row becomes
+    (row*p - row[pc]*pivot_row) / prev, where prev is the previous pivot;
+    the division is exact. Every pivot ends equal to the last one, D, so
+    the reduced row echelon form is rows / D, and rows past the rank are
+    zero. Returns (int rows, pivot columns, D). Pivot selection: first
+    nonzero entry in column order, scanning rows top to bottom.
+    """
+    rows, _ = _cleared_int_rows(m)
+    nr, nc = m.rows, m.cols
     pivots = []
+    prev = 1
     pr = 0
-    for pc in range(m.cols):
-        if pr == len(rows):
+    for pc in range(nc):
+        if pr == nr:
             break
         piv = None
-        for r in range(pr, len(rows)):
+        for r in range(pr, nr):
             if rows[r][pc] != 0:
                 piv = r
                 break
         if piv is None:
             continue
         rows[pr], rows[piv] = rows[piv], rows[pr]
-        inv = Fraction(1) / rows[pr][pc]
-        rows[pr] = [x * inv for x in rows[pr]]
-        for r in range(len(rows)):
-            if r != pr and rows[r][pc] != 0:
-                f = rows[r][pc]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
+        prow = rows[pr]
+        p = prow[pc]
+        for r in range(nr):
+            if r == pr:
+                continue
+            row = rows[r]
+            f = row[pc]
+            if f:
+                rows[r] = [(x * p - f * y) // prev for x, y in zip(row, prow)]
+            else:
+                # a zero in the pivot column still takes the step's scale
+                rows[r] = [x * p // prev for x in row]
+        prev = p
         pivots.append(pc)
         pr += 1
-    return Matrix(rows), tuple(pivots)
+    return rows, tuple(pivots), prev
+
+
+_ZERO = Fraction(0)
+
+
+def rref(m: Matrix):
+    """Reduced row echelon form. Returns (Matrix, pivot column indices)."""
+    rows, pivots, d = _rref_ints(m)
+    reduced = [[Fraction(x, d) for x in rows[i]] for i in range(len(pivots))]
+    reduced += [[_ZERO] * m.cols for _ in range(m.rows - len(pivots))]
+    return Matrix(reduced), pivots
 
 
 def kernel_basis(m: Matrix) -> tuple:
@@ -245,16 +278,16 @@ def kernel_basis(m: Matrix) -> tuple:
     Vectors come from the reduced echelon form: free columns in ascending
     index order, the free coordinate set to 1. Empty tuple for injective m.
     """
-    reduced, pivots = rref(m)
+    rows, pivots, d = _rref_ints(m)
     pivot_set = set(pivots)
     basis = []
     for free in range(m.cols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * m.cols
+        v = [_ZERO] * m.cols
         v[free] = Fraction(1)
         for row_index, pc in enumerate(pivots):
-            v[pc] = -reduced.entries[row_index][free]
+            v[pc] = Fraction(-rows[row_index][free], d)
         basis.append(tuple(v))
     return tuple(basis)
 

@@ -15,7 +15,9 @@ import pytest
 
 from nlie.algebra import Algebra
 from nlie.catalog import ClassLabel, canonical
+from nlie.classify import classify
 from nlie.cli import main
+from nlie.errors import NlieError
 from nlie.io import parse_algebra, parse_matrix, serialize_algebra, serialize_matrix
 from nlie.transform import change_basis_multilinear, random_basis_change
 
@@ -275,6 +277,19 @@ class TestClassify:
         assert code == 2 and out == ""
         assert err == ("error: classification covers dimensions n+1 and n+2; "
                        "got dimension 6 at arity 3\n")
+
+    def test_failed_witness_check_exits_two(self, capsys, tmp_path, monkeypatch):
+        # a witness that fails its own check is a classifier bug; it must
+        # surface as an NlieError (exit 2), not as a traceback
+        path = self.moved_file(tmp_path, ClassLabel("d3"))
+        monkeypatch.setattr(importlib.import_module("nlie.classify"),
+                            "verify_isomorphism", lambda *args: False)
+        message = "witness verification failed for d3; this is a bug in the classifier"
+        with pytest.raises(NlieError, match=message):
+            classify(parse_algebra(open(path).read()))
+        code, out, err = run(capsys, "classify", path)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_family_only_exits_zero(self, capsys, tmp_path):
         a = Algebra(3, 4, {(1, 2, 3): unit(4, 0, -1),

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from nlie.algebra import Subspace
 from nlie.errors import DimensionMismatch, SingularMatrix
 from nlie.exactlin import (
     Matrix, ascending_pairs, compound_star, det, invert, kernel_basis,
@@ -157,6 +158,148 @@ def test_solve():
     underdetermined = Matrix([[1, 1]])
     x = solve(underdetermined, [5])
     assert x is not None and x[0] + x[1] == 5
+
+
+def rref_oracle(m: Matrix):
+    """Reference reduced row echelon form: Gauss-Jordan on Fractions,
+    each pivot row divided by its pivot, the same pivot rule as rref."""
+    rows = [list(r) for r in m.entries]
+    pivots = []
+    pr = 0
+    for pc in range(m.cols):
+        if pr == len(rows):
+            break
+        piv = None
+        for r in range(pr, len(rows)):
+            if rows[r][pc] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        rows[pr], rows[piv] = rows[piv], rows[pr]
+        inv = Fraction(1) / rows[pr][pc]
+        rows[pr] = [x * inv for x in rows[pr]]
+        for r in range(len(rows)):
+            if r != pr and rows[r][pc] != 0:
+                f = rows[r][pc]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+    return Matrix(rows), tuple(pivots)
+
+
+def kernel_oracle(m: Matrix) -> tuple:
+    reduced, pivots = rref_oracle(m)
+    basis = []
+    for free in range(m.cols):
+        if free not in pivots:
+            v = [Fraction(0)] * m.cols
+            v[free] = Fraction(1)
+            for row_index, pc in enumerate(pivots):
+                v[pc] = -reduced[row_index, free]
+            basis.append(tuple(v))
+    return tuple(basis)
+
+
+def invert_oracle(m: Matrix):
+    """The inverse, or SingularMatrix (the class) when there is none."""
+    n = m.rows
+    reduced, pivots = rref_oracle(Matrix([list(m.row(i)) + [int(i == j) for j in range(n)]
+                                          for i in range(n)]))
+    if pivots != tuple(range(n)):
+        return SingularMatrix
+    return Matrix([row[n:] for row in reduced.entries])
+
+
+def solve_oracle(m: Matrix, b):
+    reduced, pivots = rref_oracle(Matrix([list(m.row(i)) + [b[i]] for i in range(m.rows)]))
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for row_index, pc in enumerate(pivots):
+        x[pc] = reduced[row_index, m.cols]
+    return tuple(x)
+
+
+mixed_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@st.composite
+def elimination_inputs(draw, rows=None, cols=None):
+    """Matrices up to 9x9, wide or tall, with mixed denominators: dense,
+    sparse, all zero, or rank-deficient (integer combinations of fewer
+    rows), then with some rows and columns zeroed."""
+    nr = rows if rows is not None else draw(st.integers(1, 9))
+    nc = cols if cols is not None else draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["dense", "sparse", "zero", "combination"]))
+    if kind == "zero":
+        return Matrix.zero(nr, nc)
+    if kind != "combination":
+        entry = mixed_rationals if kind == "dense" else st.one_of(st.just(0), mixed_rationals)
+        ents = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                             min_size=nr, max_size=nr))
+    else:
+        k = draw(st.integers(1, max(1, min(nr, nc) - 1)))
+        base = draw(st.lists(st.lists(mixed_rationals, min_size=nc, max_size=nc),
+                             min_size=k, max_size=k))
+        coeffs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                               min_size=nr, max_size=nr))
+        ents = [[sum(c * b[j] for c, b in zip(cs, base)) for j in range(nc)]
+                for cs in coeffs]
+    zero_rows = draw(st.sets(st.integers(0, nr - 1), max_size=nr // 2))
+    zero_cols = draw(st.sets(st.integers(0, nc - 1), max_size=nc // 2))
+    return Matrix([[0 if i in zero_rows or j in zero_cols else x
+                    for j, x in enumerate(row)] for i, row in enumerate(ents)])
+
+
+square_inputs = st.integers(1, 9).flatmap(lambda k: elimination_inputs(k, k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(elimination_inputs())
+@example(Matrix([[2, 0, 1], [0, 3, 1]]))  # rows with a zero in the pivot column
+def test_rref_matches_fraction_oracle(m):
+    assert rref(m) == rref_oracle(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elimination_inputs())
+def test_kernel_basis_matches_fraction_oracle(m):
+    assert kernel_basis(m) == kernel_oracle(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_inputs)
+@example(Matrix([[2, 0], [0, 3]]))
+def test_invert_matches_fraction_oracle(m):
+    expected = invert_oracle(m)
+    if expected is SingularMatrix:
+        assert det(m) == 0
+        with pytest.raises(SingularMatrix):
+            invert(m)
+    else:
+        assert invert(m) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(elimination_inputs().flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(mixed_rationals, min_size=m.rows,
+                                             max_size=m.rows))))
+@example((Matrix([[2, 0], [0, 3]]), [1, 1]))
+def test_solve_matches_fraction_oracle(args):
+    m, b = args
+    expected = solve_oracle(m, b)
+    assert solve(m, b) == expected
+    if expected is not None:
+        assert m.apply(expected) == tuple(rat(x) for x in b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elimination_inputs())
+def test_subspace_from_vectors_matches_fraction_oracle(m):
+    reduced, pivots = rref_oracle(m)
+    assert Subspace.from_vectors(m.cols, m.entries) == \
+        Subspace(m.cols, reduced.entries[:len(pivots)])
 
 
 def test_ascending_pairs_order():
