@@ -30,7 +30,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, InvalidAlgebra
-from .exactlin import (Matrix, _bareiss, clear_denominators, det, invert,
+from .exactlin import (Matrix, _bareiss, clear_rows, det, invert,
                        kernel_basis, rank, rat, rref)
 
 Vector = Tuple[Fraction, ...]
@@ -182,16 +182,9 @@ class JacobiReport:
     violations: Tuple[Violation, ...]
 
 
-def _cleared_rows(rows, width: int):
-    """Rows of rationals times L, the lcm of all their denominators, as int
-    lists; returns (int rows, L)."""
-    flat, scale = clear_denominators([x for row in rows for x in row])
-    return [flat[i:i + width] for i in range(0, len(flat), width)], scale
-
-
 def _int_table(a: Algebra):
     """The table times L, the lcm of all its denominators, as int lists."""
-    rows, scale = _cleared_rows(a.table.values(), a.dim)
+    rows, scale = clear_rows(a.table.values(), a.dim)
     return dict(zip(a.table, rows)), scale
 
 
@@ -433,8 +426,8 @@ def table_in_basis(a: Algebra, t: Matrix, t_inverse: Optional[Matrix] = None) ->
         raise DimensionMismatch("basis matrix has wrong shape")
     n, d = a.arity, a.dim
     tinv = t_inverse if t_inverse is not None else invert(t)
-    t_rows, t_scale = _cleared_rows(t.entries, d)
-    inv_rows, inv_scale = _cleared_rows(tinv.entries, d)
+    t_rows, t_scale = clear_rows(t.entries, d)
+    inv_rows, inv_scale = clear_rows(tinv.entries, d)
     ints, scale = _int_table(a)
     denominator = scale * inv_scale * t_scale ** n
     new_table = {}

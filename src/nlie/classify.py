@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .algebra import (
     Algebra,
@@ -56,17 +56,19 @@ from .errors import (
 from .exactlin import (
     Matrix,
     clear_denominators,
+    clear_rows,
     det,
     factorize,
     invert,
-    iroot,
     kernel_basis,
     rank,
     rational_cbrt,
+    rational_root,
     rational_sqrt,
     rref,
     solve,
     squarefree_part,
+    strip_square,
 )
 from .transform import verify_isomorphism
 
@@ -239,31 +241,6 @@ def _validate(a: Algebra, codim: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# rational roots
-
-
-def _kth_roots(q: Fraction, k: int) -> Tuple[Fraction, ...]:
-    """All rational solutions of x**k == q."""
-    if q == 0:
-        return (Fraction(0),)
-    if q < 0 and k % 2 == 0:
-        return ()
-    mag = abs(q)
-    rn = iroot(mag.numerator, k)
-    rd = iroot(mag.denominator, k)
-    if rn ** k != mag.numerator or rd ** k != mag.denominator:
-        return ()
-    root = Fraction(rn, rd)
-    if k % 2 == 1:
-        return (-root,) if q < 0 else (root,)
-    return (root, -root)
-
-
-def _square_class(x: Fraction) -> int:
-    return squarefree_part(x.numerator * x.denominator)
-
-
-# ---------------------------------------------------------------------------
 # dimension n+1
 
 
@@ -325,22 +302,24 @@ def _np1_rank1(a: Algebra, frame: _Frame, der: Subspace) -> Verdict:
         units = _completion_units([v], d)
         frame.push(Matrix.from_columns([v] + units),
                    "adapt: derived line first, unit completion")
-        kappa = frame.current.bracket_on_basis(tuple(range(1, d)))[0]
-        if kappa == 0:
-            return _unresolved(a, ("completion bracket vanished",), frame.steps)
-        frame.push(_scale_coord(d, 1, 1 / kappa),
-                   "scale a completion vector to normalize the product")
-        return _exact(a, frame, ClassLabel("B1"), n)
+        return _scale_to_product(a, frame, tuple(range(1, d)), ClassLabel("B1"))
     zv = z.basis[0]
     units = _completion_units([v, zv], d)
     frame.push(Matrix.from_columns([v] + units + [zv]),
                "adapt: derived line, completion, central direction last")
-    kappa = frame.current.bracket_on_basis(tuple(range(0, n)))[0]
+    return _scale_to_product(a, frame, tuple(range(0, n)), ClassLabel("B2"))
+
+
+def _scale_to_product(a: Algebra, frame: _Frame, combo: Tuple[int, ...],
+                      label: ClassLabel) -> Verdict:
+    """Scale the second basis vector so the bracket on `combo` equals the
+    first basis vector."""
+    kappa = frame.current.bracket_on_basis(combo)[0]
     if kappa == 0:
         return _unresolved(a, ("completion bracket vanished",), frame.steps)
-    frame.push(_scale_coord(d, 1, 1 / kappa),
+    frame.push(_scale_coord(a.dim, 1, 1 / kappa),
                "scale a completion vector to normalize the product")
-    return _exact(a, frame, ClassLabel("B2"), n)
+    return _exact(a, frame, label, a.arity)
 
 
 def _plane_cyclic(k: Matrix) -> Optional[Tuple[Vector, Vector]]:
@@ -428,37 +407,6 @@ def _grid(length: int, top: int):
                 yield tup
 
 
-def _extend_frame(g: Matrix, targets: Sequence[Fraction],
-                  zs: List[Vector], budget: List[int]) -> Optional[List[Vector]]:
-    """Backtracking search for g-orthogonal z_i with z_i.g.z_i == targets[i]."""
-    r = g.cols
-    i = len(zs)
-    if i == r:
-        return zs
-    if zs:
-        ortho = kernel_basis(Matrix([g.apply(z) for z in zs]))
-    else:
-        ortho = tuple(unit_vec(r, k) for k in range(r))
-    if not ortho:
-        return None
-    for coeffs in _grid(len(ortho), 3):
-        if budget[0] <= 0:
-            return None
-        budget[0] -= 1
-        w = tuple(sum(c * b[k] for c, b in zip(coeffs, ortho))
-                  for k in range(r))
-        q = sum(x * y for x, y in zip(w, g.apply(w)))
-        if q == 0:
-            continue
-        s = rational_sqrt(q / targets[i])
-        if s is None or s == 0:
-            continue
-        found = _extend_frame(g, targets, zs + [scale_vec(1 / s, w)], budget)
-        if found is not None:
-            return found
-    return None
-
-
 def _mod_sqrt(a: int, p: int) -> Optional[int]:
     """Square root of a modulo a prime p, or None for a non-residue."""
     a %= p
@@ -500,20 +448,6 @@ def _sqrt_mod_squarefree(a: int, m: int) -> Optional[int]:
     return residue
 
 
-def _strip_square(v: int) -> Tuple[int, int]:
-    """Write v as s * t**2 with s squarefree; returns (s, t)."""
-    t = 1
-    for p, e in factorize(abs(v)).items():
-        t *= p ** (e // 2)
-    return v // (t * t), t
-
-
-def _clear_triple(x: Fraction, y: Fraction, z: Fraction) -> Tuple[int, int, int]:
-    ints, _ = clear_denominators((x, y, z))
-    g = gcd(*ints)
-    return ints[0] // g, ints[1] // g, ints[2] // g
-
-
 def _norm_descent(a: int, b: int, depth: int = 0) -> Optional[Tuple[int, int, int]]:
     """Nontrivial integer solution of x**2 == a*y**2 + b*z**2, or None.
 
@@ -542,7 +476,7 @@ def _norm_descent(a: int, b: int, depth: int = 0) -> Optional[Tuple[int, int, in
     quo = (t * t - a) // b
     if quo == 0:
         return None
-    b1, m = _strip_square(quo)
+    b1, m = strip_square(quo)
     sol = _norm_descent(a, b1, depth + 1)
     if sol is None:
         return None
@@ -550,8 +484,8 @@ def _norm_descent(a: int, b: int, depth: int = 0) -> Optional[Tuple[int, int, in
     if z1 == 0:
         return x1, y1, 0
     den = m * b1 * z1
-    return _clear_triple(Fraction(t * x1 - a * y1, den),
-                         Fraction(x1 - t * y1, den), Fraction(1))
+    return _primitive((Fraction(t * x1 - a * y1, den),
+                       Fraction(x1 - t * y1, den), Fraction(1)))
 
 
 def _ternary_zero(aq: Fraction, bq: Fraction,
@@ -564,7 +498,7 @@ def _ternary_zero(aq: Fraction, bq: Fraction,
     vals, _ = clear_denominators((aq, bq, cq))
     mult = [Fraction(1)] * 3
     for i in range(3):
-        stripped, root = _strip_square(vals[i])
+        stripped, root = strip_square(vals[i])
         vals[i] = stripped
         mult[i] /= root
     shared = gcd(gcd(abs(vals[0]), abs(vals[1])), abs(vals[2]))
@@ -595,13 +529,6 @@ def _ternary_zero(aq: Fraction, bq: Fraction,
                         "at the constructed zero; this is a bug in the "
                         "classifier")
     return out
-
-
-def _cleared_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    """The rows times the lcm of all their denominators, as integers."""
-    width = len(rows[0])
-    ints, _ = clear_denominators([x for row in rows for x in row])
-    return [ints[i:i + width] for i in range(0, len(ints), width)]
 
 
 def _pair_value(g: Matrix, x: Sequence[Fraction],
@@ -659,8 +586,9 @@ def _ortho_complement(g: Matrix, zs: Sequence[Vector]):
 
 def _short_pivot(g: Matrix, comp: Sequence[Vector]) -> Optional[Vector]:
     """Small complement combination with minimal nonzero form value."""
-    rows = _cleared_rows([[_pair_value(g, u, v) for v in comp] for u in comp])
     k = len(comp)
+    rows, _ = clear_rows([[_pair_value(g, u, v) for v in comp]
+                          for u in comp], k)
     best = None
     best_val = None
     budget = 20000
@@ -705,8 +633,8 @@ def _diagonal_split(g: Matrix) -> Tuple[List[Vector], List[Fraction]]:
 
 def _grid_isotropic(g: Matrix, top: int, budget: int) -> Optional[Vector]:
     """Scan small integer vectors for a zero of the form; None on a miss."""
-    rows = _cleared_rows(g.entries)
     r = g.cols
+    rows, _ = clear_rows(g.entries, r)
     for v in _grid(r, top):
         budget -= 1
         if budget < 0:
@@ -843,8 +771,6 @@ def _congruence_from_frame(g: Matrix, eps: Sequence[int],
     mult = Fraction(lcm, shared) if shared else Fraction(1)
     zs = _orthogonal_frame(mult * g, eps, mult * lam)
     if zs is None:
-        zs = _extend_frame(g, [lam * e for e in eps], [], [20000])
-    if zs is None:
         return None
     c = lam * invert(Matrix.from_columns(zs)).transpose()
     if c @ Matrix.diagonal(list(eps)) @ c.transpose() != lam * g:
@@ -868,7 +794,10 @@ def _congruence_factor(g: Matrix, eps: Sequence[int], n: int,
     for e in eps:
         prod_eps *= e
     if fix_det:
-        for lam in _kth_roots(Fraction(prod_eps) / det(g), n - 1):
+        root = rational_root(Fraction(prod_eps) / det(g), n - 1)
+        if root is None:
+            return None
+        for lam in (root, -root) if (n - 1) % 2 == 0 else (root,):
             c = _congruence_from_frame(g, eps, lam)
             if c is None:
                 continue
@@ -948,11 +877,18 @@ def _classify_np2(a: Algebra) -> Verdict:
         return _exact(a, frame, ClassLabel("a"), n)
     if der.dim == 1:
         return _np2_rank1(a, frame, der)
+    z = center(a)
+    split = z.dim - z.intersect(der).dim
+    if split == 1:
+        return _np2_split_central(a, frame)
+    if split > 1:
+        return _unresolved(a, ("more than one central line splits off; "
+                               "no family matches",))
     if der.dim == 2:
-        return _np2_rank2(a, frame, der)
+        return _np2_rank2(a, frame, der, z)
     if der.dim == 3:
         return _np2_rank3(a, frame, der)
-    return _np2_rank_high(a, frame, der)
+    return _np2_rank_high(a, frame, der, z)
 
 
 def _np2_rank1(a: Algebra, frame: _Frame, der: Subspace) -> Verdict:
@@ -968,26 +904,26 @@ def _np2_rank1(a: Algebra, frame: _Frame, der: Subspace) -> Verdict:
         frame.push(Matrix.from_columns([v] + units + [partner]),
                    "adapt: derived line, completion, second central "
                    "direction last")
-        kappa = frame.current.bracket_on_basis(tuple(range(1, 1 + n)))[0]
-        if kappa == 0:
-            return _unresolved(a, ("completion bracket vanished",), frame.steps)
-        frame.push(_scale_coord(d, 1, 1 / kappa),
-                   "scale a completion vector to normalize the product")
-        return _exact(a, frame, ClassLabel("b1"), n)
+        return _scale_to_product(a, frame, tuple(range(1, 1 + n)),
+                                 ClassLabel("b1"))
     units = _completion_units([v] + list(z.basis), d)
     frame.push(Matrix.from_columns([v] + units + list(z.basis)),
                "adapt: derived line, completion, center last")
-    kappa = frame.current.bracket_on_basis(tuple(range(0, n)))[0]
-    if kappa == 0:
-        return _unresolved(a, ("completion bracket vanished",), frame.steps)
-    frame.push(_scale_coord(d, 1, 1 / kappa),
-               "scale a completion vector to normalize the product")
-    return _exact(a, frame, ClassLabel("b2"), n)
+    return _scale_to_product(a, frame, tuple(range(0, n)), ClassLabel("b2"))
 
 
-def _np2_split_central(a: Algebra, frame: _Frame,
-                       translate: Callable[[ClassLabel], Optional[ClassLabel]]
-                       ) -> Verdict:
+def _split_central_label(core: ClassLabel) -> Optional[ClassLabel]:
+    """The family of a table whose core, after splitting off its central
+    line, has the (n+1)-dimensional class `core`; None when none has."""
+    if core.family == "C2":
+        return ClassLabel("c5", alpha=core.alpha)
+    if core.family == "D_r":
+        return ClassLabel("d4") if core.r == 3 else ClassLabel("r2", r=core.r)
+    family = {"C1": "c3", "C3": "c7"}.get(core.family)
+    return None if family is None else ClassLabel(family)
+
+
+def _np2_split_central(a: Algebra, frame: _Frame) -> Verdict:
     """Split a central line off and classify the core one dimension down."""
     n = a.arity
     try:
@@ -1003,7 +939,7 @@ def _np2_split_central(a: Algebra, frame: _Frame,
     if inner.status == UNRESOLVED:
         return _unresolved(a, ("the core one dimension down did not resolve",)
                            + inner.notes, frame.steps)
-    label = translate(inner.label)
+    label = _split_central_label(inner.label)
     if label is None:
         return _unresolved(a, (f"the core classifies as {inner.label}, which "
                                "no family with a split central line matches",),
@@ -1015,24 +951,8 @@ def _np2_split_central(a: Algebra, frame: _Frame,
     return _exact(a, frame, label, n)
 
 
-def _np2_rank2(a: Algebra, frame: _Frame, der: Subspace) -> Verdict:
-    n = a.arity
-    z = center(a)
-    meet = z.intersect(der)
-    split = z.dim - meet.dim
-    if split == 1:
-        def translate(lab: ClassLabel) -> Optional[ClassLabel]:
-            if lab.family == "C1":
-                return ClassLabel("c3")
-            if lab.family == "C2":
-                return ClassLabel("c5", alpha=lab.alpha)
-            if lab.family == "C3":
-                return ClassLabel("c7")
-            return None
-        return _np2_split_central(a, frame, translate)
-    if split > 1:
-        return _unresolved(a, ("more than one central line splits off; "
-                               "no family matches",))
+def _np2_rank2(a: Algebra, frame: _Frame, der: Subspace,
+               z: Subspace) -> Verdict:
     if z.dim == 1:
         return _np2_rank2_central_line(a, frame, der, z)
     if z.dim == 0:
@@ -1180,7 +1100,7 @@ def _np2_rank2_pencil(a: Algebra, frame: _Frame, der: Subspace) -> Verdict:
             mtarget = p0
             label = ClassLabel("c4")
         else:
-            dclass = _square_class(disc)
+            dclass = squarefree_part(disc)
             alpha, rho = _smallest_pencil_parameter(dclass)
             scale = rho / rational_sqrt(disc / dclass)
             p6 = scale * m0 + ((1 - scale * tau) / 2) * ident
@@ -1237,18 +1157,6 @@ def _wedge2(v: Sequence, w: Sequence) -> Vector:
 
 def _np2_rank3(a: Algebra, frame: _Frame, der: Subspace) -> Verdict:
     n, d = a.arity, a.dim
-    z = center(a)
-    meet = z.intersect(der)
-    split = z.dim - meet.dim
-    if split == 1:
-        def translate(lab: ClassLabel) -> Optional[ClassLabel]:
-            if lab.family == "D_r" and lab.r == 3:
-                return ClassLabel("d4")
-            return None
-        return _np2_split_central(a, frame, translate)
-    if split > 1:
-        return _unresolved(a, ("more than one central line splits off; "
-                               "no family matches",))
     units = _completion_units(list(der.basis), d)
     frame.push(Matrix.from_columns(list(der.basis) + units),
                "adapt: derived part first")
@@ -1317,15 +1225,12 @@ def _np2_rank3_pairs(a: Algebra, frame: _Frame,
             or not any(cur.bracket_on_basis((1, 2) + support)):
         return _unresolved(a, ("pair action misaligned after the image "
                                "change",), frame.steps)
-    full = tuple(range(3, d))
-    pmat = Matrix.from_columns(
-        [cur.bracket_on_basis((x,) + full)[:3] for x in range(3)])
+    pmat = _np2_rank3_read_p(cur, d)
     if pmat.row(1)[0] != 0 or pmat.row(2)[0] != 0:
         return _unresolved(a, ("the transversal map moves the pair image "
                                "off its line",), frame.steps)
     m00 = pmat.row(0)[0]
-    pbar = Matrix([[pmat.row(1)[1], pmat.row(1)[2]],
-                   [pmat.row(2)[1], pmat.row(2)[2]]])
+    pbar = _lower_block(pmat)
     if pbar.row(0)[0] + pbar.row(1)[1] != m00:
         return _unresolved(a, ("trace of the reduced transversal map is off",),
                            frame.steps)
@@ -1362,6 +1267,11 @@ def _np2_rank3_read_p(cur: Algebra, d: int) -> Matrix:
         [cur.bracket_on_basis((x,) + full)[:3] for x in range(3)])
 
 
+def _lower_block(p: Matrix) -> Matrix:
+    """The 2x2 block of a 3x3 map on the last two coordinates."""
+    return Matrix([p.row(1)[1:], p.row(2)[1:]])
+
+
 def _np2_rank3_finish(a: Algebra, frame: _Frame, label: ClassLabel,
                       eigs: Tuple[Fraction, Fraction]) -> Verdict:
     """Shared tail of the diagonalizable pair branches (one eigenvalue each).
@@ -1374,8 +1284,7 @@ def _np2_rank3_finish(a: Algebra, frame: _Frame, label: ClassLabel,
     cur = frame.current
     pmat = _np2_rank3_read_p(cur, d)
     m00 = pmat.row(0)[0]
-    pbar = Matrix([[pmat.row(1)[1], pmat.row(1)[2]],
-                   [pmat.row(2)[1], pmat.row(2)[2]]])
+    pbar = _lower_block(pmat)
     crow = (pmat.row(0)[1], pmat.row(0)[2])
     lifted = []
     for mu in eigs:
@@ -1407,8 +1316,7 @@ def _np2_rank3_cyclic(a: Algebra, frame: _Frame, alpha: Fraction) -> Verdict:
     n, d = a.arity, a.dim
     cur = frame.current
     pmat = _np2_rank3_read_p(cur, d)
-    pbar = Matrix([[pmat.row(1)[1], pmat.row(1)[2]],
-                   [pmat.row(2)[1], pmat.row(2)[2]]])
+    pbar = _lower_block(pmat)
     pair = _plane_cyclic(pbar)
     if pair is None:
         return _unresolved(a, ("reduced transversal map is scalar in the "
@@ -1529,22 +1437,11 @@ def _np2_rank3_onemap(a: Algebra, frame: _Frame) -> Verdict:
     return _exact(a, frame, ClassLabel("d5", beta=beta), a.arity)
 
 
-def _np2_rank_high(a: Algebra, frame: _Frame, der: Subspace) -> Verdict:
+def _np2_rank_high(a: Algebra, frame: _Frame, der: Subspace,
+                   z: Subspace) -> Verdict:
     n, d = a.arity, a.dim
     r = der.dim
-    z = center(a)
-    meet = z.intersect(der)
-    split = z.dim - meet.dim
-    if split == 1:
-        def translate(lab: ClassLabel) -> Optional[ClassLabel]:
-            if lab.family == "D_r" and lab.r == r:
-                return ClassLabel("r2", r=r)
-            return None
-        return _np2_split_central(a, frame, translate)
-    if split > 1:
-        return _unresolved(a, ("more than one central line splits off; "
-                               "no family matches",))
-    if z.dim != 1 or meet.dim != 1:
+    if z.dim != 1:
         return _unresolved(a, (f"derived dimension {r} with a {z.dim}-"
                                "dimensional center matches no family",))
     zv = z.basis[0]

@@ -154,6 +154,13 @@ def clear_denominators(values):
     return [v.numerator * (mult // v.denominator) for v in vals], mult
 
 
+def clear_rows(rows, width: int):
+    """Rows of rationals times L, the lcm of all their denominators, as int
+    lists; returns (int rows, L)."""
+    flat, scale = clear_denominators([x for row in rows for x in row])
+    return [flat[i:i + width] for i in range(0, len(flat), width)], scale
+
+
 def _cleared_int_rows(m: Matrix):
     """Rows scaled to integers; returns (int rows, product of scale factors)."""
     out = []
@@ -396,29 +403,26 @@ def factorize(m: int):
     return out
 
 
+def strip_square(v: int):
+    """Write a nonzero integer v as s * t**2 with s squarefree (and of the
+    sign of v) and t > 0; returns (s, t)."""
+    t = 1
+    for p, e in factorize(abs(v)).items():
+        t *= p ** (e // 2)
+    return v // (t * t), t
+
+
 def squarefree_part(x) -> int:
     """Squarefree integer representing x modulo nonzero rational squares."""
     q = rat(x)
     if q == 0:
         return 0
-    m = abs(q.numerator * q.denominator)
-    sf = 1
-    for p, e in factorize(m).items():
-        if e % 2:
-            sf *= p
-    return sf if q > 0 else -sf
+    return strip_square(q.numerator * q.denominator)[0]
 
 
 def rational_sqrt(x) -> Optional[Fraction]:
     """Nonnegative rational square root, or None."""
-    q = rat(x)
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+    return rational_root(x, 2)
 
 
 def iroot(m: int, k: int) -> int:
@@ -438,14 +442,22 @@ def iroot(m: int, k: int) -> int:
         x = y
 
 
-def rational_cbrt(x) -> Optional[Fraction]:
-    """Rational cube root (sign preserved), or None."""
+def rational_root(x, k: int) -> Optional[Fraction]:
+    """Rational k-th root of x, or None: the nonnegative one for even k, the
+    one of the sign of x for odd k."""
     q = rat(x)
-    rn = iroot(abs(q.numerator), 3)
-    rd = iroot(q.denominator, 3)
-    if rn ** 3 != abs(q.numerator) or rd ** 3 != q.denominator:
+    if q < 0 and k % 2 == 0:
+        return None
+    rn = iroot(abs(q.numerator), k)
+    rd = iroot(q.denominator, k)
+    if rn ** k != abs(q.numerator) or rd ** k != q.denominator:
         return None
     return Fraction(-rn if q < 0 else rn, rd)
+
+
+def rational_cbrt(x) -> Optional[Fraction]:
+    """Rational cube root (sign preserved), or None."""
+    return rational_root(x, 3)
 
 
 def ascending_pairs(d: int):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -379,6 +380,16 @@ def test_squarefree_part():
     assert squarefree_part(Fraction(1, 2)) == 2
     assert squarefree_part(Fraction(9, 4)) == 1
     assert squarefree_part(Fraction(5, 27)) == 15
+    assert squarefree_part(Fraction(-1, 2**5)) == -2
+    assert squarefree_part(Fraction(2**131, 3**81)) == 6
+
+
+@given(st.integers(min_value=-10**6, max_value=10**6).filter(bool))
+def test_strip_square(v):
+    from nlie.exactlin import strip_square
+    s, t = strip_square(v)
+    assert s * t * t == v and t > 0
+    assert all(s % (p * p) for p in range(2, isqrt(abs(s)) + 1))
 
 
 @given(st.fractions(min_value=-30, max_value=30, max_denominator=24))
@@ -399,6 +410,11 @@ def test_rational_sqrt():
     assert rational_sqrt(2) is None
     assert rational_sqrt(-4) is None
     assert rational_sqrt(Fraction(49, 36)) == Fraction(7, 6)
+    assert rational_sqrt(Fraction(3) ** -4) == Fraction(1, 9)
+    assert rational_sqrt(Fraction(2) ** -3) is None
+    assert rational_sqrt(Fraction(-3) ** 3) is None
+    assert rational_sqrt((2**127 - 1) ** 2) == 2**127 - 1
+    assert rational_sqrt(Fraction(1, 2**129)) is None
 
 
 def test_rational_cbrt():
@@ -409,13 +425,22 @@ def test_rational_cbrt():
     assert rational_cbrt(Fraction(-1, 27)) == Fraction(-1, 3)
     assert rational_cbrt(4) is None
     assert rational_cbrt(Fraction(9, 8)) is None
+    assert rational_cbrt(Fraction(-3) ** -3) == Fraction(-1, 3)
+    assert rational_cbrt(Fraction(-5) ** 5) is None
+    assert rational_cbrt(Fraction(-(2**127 - 1) ** 3, 2**129)) == \
+        Fraction(-(2**127 - 1), 2**43)
+    assert rational_cbrt(2**130) is None
 
 
-@given(st.fractions(min_value=-9, max_value=9, max_denominator=6))
-def test_roots_invert_powers(x):
-    from nlie.exactlin import rational_cbrt, rational_sqrt
+@given(st.fractions(min_value=-9, max_value=9, max_denominator=6),
+       st.integers(min_value=1, max_value=9))
+def test_roots_invert_powers(x, k):
+    from nlie.exactlin import rational_cbrt, rational_root, rational_sqrt
     assert rational_sqrt(rat(x) ** 2) == abs(rat(x))
     assert rational_cbrt(rat(x) ** 3) == rat(x)
+    assert rational_root(rat(x) ** k, k) == (abs(rat(x)) if k % 2 == 0 else rat(x))
+    root = rational_root(rat(x) * 2 ** 130 + 1, k)
+    assert root is None or root ** k == rat(x) * 2 ** 130 + 1
 
 
 def test_rational_cbrt_at_large_height():
