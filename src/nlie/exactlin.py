@@ -367,9 +367,20 @@ def _rho_split(m: int) -> int:
         c += 1
 
 
+def _perfect_power(v: int):
+    """(r, k) with r**k == v for the smallest k > 1, or (v, 1) when v is no
+    perfect power."""
+    for k in range(2, v.bit_length() + 1):
+        r = iroot(v, k)
+        if r ** k == v:
+            return r, k
+    return v, 1
+
+
 def factorize(m: int):
     """Prime factorization: trial division for small factors, then
-    Miller-Rabin plus Pollard's rho for whatever is left."""
+    Miller-Rabin, a perfect-power peel and Pollard's rho for whatever is
+    left."""
     if m <= 0:
         raise ValueError("factorize needs a positive integer")
     out = {}
@@ -389,17 +400,19 @@ def factorize(m: int):
     if q * q > m:
         out[m] = out.get(m, 0) + 1
         return out
-    stack = [m]
+    stack = [(m, 1)]
     while stack:
-        v = stack.pop()
-        if v == 1:
-            continue
+        v, e = stack.pop()
         if _is_prime(v):
-            out[v] = out.get(v, 0) + 1
+            out[v] = out.get(v, 0) + e
+            continue
+        root, k = _perfect_power(v)
+        if k > 1:
+            stack.append((root, e * k))
             continue
         split = _rho_split(v)
-        stack.append(split)
-        stack.append(v // split)
+        stack.append((split, e))
+        stack.append((v // split, e))
     return out
 
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -369,6 +370,12 @@ def test_factorize_small_values():
     for p, e in factorize(n).items():
         prod *= p ** e
     assert prod == n
+    # a perfect square left after trial division: Pollard's rho alone
+    # spent seconds on it, the perfect-power peel takes milliseconds
+    start = time.perf_counter()
+    assert factorize((1489 * 16339 * 1267798516529) ** 2) == \
+        {1489: 2, 16339: 2, 1267798516529: 2}
+    assert time.perf_counter() - start < 1
 
 
 def test_squarefree_part():
@@ -381,6 +388,8 @@ def test_squarefree_part():
     assert squarefree_part(Fraction(9, 4)) == 1
     assert squarefree_part(Fraction(5, 27)) == 15
     assert squarefree_part(Fraction(-1, 2**5)) == -2
+    assert squarefree_part(-(2**127 - 1) ** 3) == -(2**127 - 1)
+    assert squarefree_part(7 * (2**127 - 1) ** 2) == 7
     assert squarefree_part(Fraction(2**131, 3**81)) == 6
 
 
