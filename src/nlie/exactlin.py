@@ -4,11 +4,11 @@ Everything in this package funnels through the small kit in this module:
 an immutable Matrix of `fractions.Fraction` entries and fraction-free
 elimination on denominator-cleared integer rows. Rank and determinant use
 Bareiss's echelon loop; reduced row echelon form, and through it kernels,
-inverses, solving and subspaces, uses the same exact-division step carried
-to reduced form (fraction-free Gauss-Jordan). Every intermediate entry is
-an integer; Fractions are built once, at the end. Pivot choice is always
-the first nonzero entry in column order, so results are deterministic and
-reproducible.
+inverses, solving, subspaces and the star compound, uses the same
+exact-division step carried to reduced form (fraction-free Gauss-Jordan).
+Every intermediate entry is an integer; Fractions are built once, at the
+end. Pivot choice is always the first nonzero entry in column order, so
+results are deterministic and reproducible.
 """
 
 from __future__ import annotations
@@ -222,22 +222,24 @@ def det(m: Matrix) -> Fraction:
     return Fraction(sign * last, scale)
 
 
-def _rref_ints(m: Matrix):
+def _rref_ints(rows):
     """Fraction-free Gauss-Jordan elimination (Bareiss's exact division
-    carried above the pivot as well as below it) on denominator-cleared
-    rows.
+    carried above the pivot as well as below it) on integer rows, which it
+    reorders and replaces.
 
     After the step with pivot p, every other row becomes
     (row*p - row[pc]*pivot_row) / prev, where prev is the previous pivot;
     the division is exact. Every pivot ends equal to the last one, D, so
     the reduced row echelon form is rows / D, and rows past the rank are
-    zero. Returns (int rows, pivot columns, D). Pivot selection: first
-    nonzero entry in column order, scanning rows top to bottom.
+    zero. Returns (int rows, pivot columns, D, sign), where sign is the
+    parity of the row swaps: when the leading square block has full rank,
+    its determinant is sign * D. Pivot selection: first nonzero entry in
+    column order, scanning rows top to bottom.
     """
-    rows, _ = _cleared_int_rows(m)
-    nr, nc = m.rows, m.cols
+    nr, nc = len(rows), len(rows[0])
     pivots = []
     prev = 1
+    sign = 1
     pr = 0
     for pc in range(nc):
         if pr == nr:
@@ -249,7 +251,9 @@ def _rref_ints(m: Matrix):
                 break
         if piv is None:
             continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
+        if piv != pr:
+            rows[pr], rows[piv] = rows[piv], rows[pr]
+            sign = -sign
         prow = rows[pr]
         p = prow[pc]
         for r in range(nr):
@@ -265,7 +269,7 @@ def _rref_ints(m: Matrix):
         prev = p
         pivots.append(pc)
         pr += 1
-    return rows, tuple(pivots), prev
+    return rows, tuple(pivots), prev, sign
 
 
 _ZERO = Fraction(0)
@@ -273,7 +277,7 @@ _ZERO = Fraction(0)
 
 def rref(m: Matrix):
     """Reduced row echelon form. Returns (Matrix, pivot column indices)."""
-    rows, pivots, d = _rref_ints(m)
+    rows, pivots, d, _ = _rref_ints(_cleared_int_rows(m)[0])
     reduced = [[Fraction(x, d) for x in rows[i]] for i in range(len(pivots))]
     reduced += [[_ZERO] * m.cols for _ in range(m.rows - len(pivots))]
     return Matrix(reduced), pivots
@@ -285,7 +289,7 @@ def kernel_basis(m: Matrix) -> tuple:
     Vectors come from the reduced echelon form: free columns in ascending
     index order, the free coordinate set to 1. Empty tuple for injective m.
     """
-    rows, pivots, d = _rref_ints(m)
+    rows, pivots, d, _ = _rref_ints(_cleared_int_rows(m)[0])
     pivot_set = set(pivots)
     basis = []
     for free in range(m.cols):
@@ -478,19 +482,35 @@ def ascending_pairs(d: int):
     return list(combinations(range(d), 2))
 
 
-def minor_det(m: Matrix, drop_rows, drop_cols) -> Fraction:
-    """Determinant of m with the given rows and columns removed,
-    remaining order preserved."""
-    dr, dc = set(drop_rows), set(drop_cols)
-    keep_r = [i for i in range(m.rows) if i not in dr]
-    keep_c = [j for j in range(m.cols) if j not in dc]
-    if len(keep_r) != len(keep_c):
-        raise DimensionMismatch("minor is not square")
-    return det(Matrix([[m.entries[i][j] for j in keep_c] for i in keep_r]))
+def _compound_ints(t: Matrix):
+    """Inverse and star compound of a square t on integers, from one
+    elimination.
+
+    With T = s*t cleared of denominators, Gauss-Jordan on [T | I] gives
+    A = D*T^-1 and D = sign*det T. Jacobi's complementary-minor identity,
+    star(T)[ij, kl] = (-1)^(i+j+k+l) det T (T^-1[k,i] T^-1[l,j]
+    - T^-1[k,j] T^-1[l,i]), then reads every minor of T with rows i, j and
+    columns k, l deleted as (-1)^(i+j+k+l) sign (A[k][i] A[l][j]
+    - A[k][j] A[l][i]) / D, an exact division. Returns (A, D, S, s) with
+    inverse(t) = s*A/D and star(t) = S/s^(d-2), S = star(T). Raises
+    SingularMatrix when t is not invertible.
+    """
+    d = t.rows
+    cleared, s = clear_rows(t.entries, d)
+    rows, pivots, dd, sign = _rref_ints(
+        [row + [1 if j == i else 0 for j in range(d)] for i, row in enumerate(cleared)])
+    if pivots != tuple(range(d)):
+        raise SingularMatrix("matrix is singular")
+    inv = [row[d:] for row in rows]
+    pairs = ascending_pairs(d)
+    star = [[(sign if (i + j + k + l) % 2 == 0 else -sign)
+             * (inv[k][i] * inv[l][j] - inv[k][j] * inv[l][i]) // dd
+             for k, l in pairs] for i, j in pairs]
+    return inv, dd, star, s
 
 
 def compound_star(t: Matrix, n: int) -> Matrix:
-    """Second adjugate-compound of a (n+2) x (n+2) matrix.
+    """Second adjugate-compound of an invertible (n+2) x (n+2) matrix.
 
     Rows and columns are indexed by ascending index pairs in lexicographic
     order; the entry at row pair (i, j), column pair (k, l) is the
@@ -498,10 +518,16 @@ def compound_star(t: Matrix, n: int) -> Matrix:
     preserved, no sign adjustment). This is exactly the matrix that
     transports bracket structure matrices between bases; see the transform
     module and its dual-path tests for the convention.
+
+    The entries come from the inverse, by Jacobi's complementary-minor
+    identity star(t)[ij, kl] = (-1)^(i+j+k+l) det t (t^-1[k,i] t^-1[l,j]
+    - t^-1[k,j] t^-1[l,i]), on integers (see _compound_ints); so t must be
+    invertible, and a singular t raises SingularMatrix.
     """
     d = n + 2
     if t.rows != d or t.cols != d:
         raise DimensionMismatch(
             f"compound_star needs a {d}x{d} matrix for arity {n}, got {t.rows}x{t.cols}")
-    pairs = ascending_pairs(d)
-    return Matrix([[minor_det(t, pr, pc) for pc in pairs] for pr in pairs])
+    _, _, star, s = _compound_ints(t)
+    scale = s ** n
+    return Matrix([[Fraction(x, scale) for x in row] for row in star])

@@ -4,18 +4,24 @@ change_basis_multilinear re-evaluates every bracket of new basis vectors
 and works in any dimension. change_basis_matrix is specific to dimension
 n+2, where the whole table fits in a single d x (d(d-1)/2) matrix indexed
 by omitted index pairs; the table then transports by sandwiching between
-the inverse of the basis matrix and its star compound. The two paths must
-agree, and the dual-path tests (plus one acceptance criterion) hold them
-to that.
+the inverse of the basis matrix and its star compound, the matrix of
+minors of t with two rows and two columns deleted. Jacobi's
+complementary-minor identity,
+star(t)[ij, kl] = (-1)^(i+j+k+l) det t (t^-1[k,i] t^-1[l,j] - t^-1[k,j] t^-1[l,i]),
+reads that compound off the inverse, so the matrix path needs an
+invertible t (a singular one raises SingularMatrix, as on the other path)
+and runs on integers from one elimination. The two paths must agree, and
+the dual-path tests (plus one acceptance criterion) hold them to that.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 from .algebra import Algebra, table_in_basis
 from .errors import DimensionMismatch, SingularMatrix
-from .exactlin import Matrix, ascending_pairs, compound_star, det, invert
+from .exactlin import Matrix, _compound_ints, ascending_pairs, clear_rows, det
 
 
 def structure_matrix(a: Algebra) -> Matrix:
@@ -64,11 +70,21 @@ def change_basis_multilinear(a: Algebra, t: Matrix) -> Algebra:
     return table_in_basis(a, t)
 
 
+def _int_product(left, right):
+    """Product of two integer matrices given as row lists."""
+    cols = list(zip(*right))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in left]
+
+
 def change_basis_matrix(a: Algebra, t: Matrix) -> Algebra:
     """Base change through the structure matrix; dimension n+2 only.
 
     The table transports as inverse(t) . B . star(t), where star(t) is the
     matrix of unsigned deletion minors of t indexed by ascending pairs.
+    With t = T/s, inverse(T) = A/D and star(T) = S from one integer
+    elimination, and B = B'/L cleared once, the product is
+    A . B' . S / (D L s^(n-1)); one Fraction is built per entry. Raises
+    SingularMatrix if t is not invertible.
     """
     if a.dim != a.arity + 2:
         raise DimensionMismatch("matrix transport requires dim = arity + 2")
@@ -76,8 +92,12 @@ def change_basis_matrix(a: Algebra, t: Matrix) -> Algebra:
         raise DimensionMismatch(
             f"basis matrix must be {a.dim} x {a.dim}, got {t.rows} x {t.cols}")
     b = structure_matrix(a)
-    moved = invert(t) @ b @ compound_star(t, a.arity)
-    return algebra_from_structure_matrix(a.arity, moved)
+    b_rows, b_scale = clear_rows(b.entries, b.cols)
+    inv, dd, star, s = _compound_ints(t)
+    denominator = dd * b_scale * s ** (a.arity - 1)
+    moved = _int_product(_int_product(inv, b_rows), star)
+    return algebra_from_structure_matrix(
+        a.arity, Matrix([[Fraction(x, denominator) for x in row] for row in moved]))
 
 
 def verify_isomorphism(a1: Algebra, a2: Algebra, t: Matrix) -> bool:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlie.algebra import Algebra, check_jacobi
-from nlie.errors import DimensionMismatch
+from nlie.catalog import canonical, np2_labels
+from nlie.errors import DimensionMismatch, SingularMatrix
 from nlie.exactlin import Matrix, det, rank
 from nlie.transform import (
     EntryStream,
@@ -39,6 +40,16 @@ TWO_STEP = Algebra(3, 5, {
     (1, 2, 3): u(5, 0),
     (2, 3, 4): u(5, 1),
 })
+
+
+def mixed_table(n):
+    """A dimension-(n+2) table with mixed denominators at arity n (not a
+    Filippov algebra; both routes are linear in the table)."""
+    d = n + 2
+    keys = [tuple(k for k in range(d) if k not in (i, i + 1)) for i in range(d - 1)]
+    return Algebra(n, d, {
+        key: tuple(F((i + 1) * (j - 2), (i + j) % 4 + 1) for j in range(d))
+        for i, key in enumerate(keys)})
 
 
 def d7_table(s, t, v):
@@ -125,6 +136,45 @@ class TestDualPath:
         seed = data.draw(st.integers(min_value=0, max_value=2**32))
         t = random_basis_change(5, seed=seed, bound=2)
         assert change_basis_matrix(a, t) == change_basis_multilinear(a, t)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_paths_agree_on_rational_matrices(self, data):
+        # arity 3 to 5, catalog tables and a mixed-denominator table, basis
+        # matrices with mixed denominators; a singular draw must raise on
+        # both routes
+        n = data.draw(st.sampled_from([3, 4, 5]))
+        a = data.draw(st.sampled_from(
+            [canonical(n, label) for label in np2_labels(n)] + [mixed_table(n)]))
+        entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        t = Matrix(data.draw(st.lists(
+            st.lists(entries, min_size=n + 2, max_size=n + 2),
+            min_size=n + 2, max_size=n + 2)))
+        if det(t) == 0:
+            with pytest.raises(SingularMatrix):
+                change_basis_matrix(a, t)
+            with pytest.raises(SingularMatrix):
+                change_basis_multilinear(a, t)
+        else:
+            assert change_basis_matrix(a, t) == change_basis_multilinear(a, t)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_paths_agree_on_every_catalog_class(self, n):
+        t = Matrix([[F(x, 1 + (i * j) % 3) for j, x in enumerate(row)]
+                    for i, row in enumerate(random_basis_change(n + 2, seed=n).entries)])
+        assert det(t) != 0
+        for a in [canonical(n, label) for label in np2_labels(n)] + [mixed_table(n)]:
+            assert change_basis_matrix(a, t) == change_basis_multilinear(a, t)
+
+    @pytest.mark.parametrize("a", [LINE, MIXED, mixed_table(4)])
+    def test_singular_matrix_raises_on_both_paths(self, a):
+        d = a.dim
+        t = Matrix([[1 if j == i else 0 for j in range(d)] for i in range(d - 1)]
+                   + [[F(1, 2)] * (d - 1) + [0]])
+        with pytest.raises(SingularMatrix):
+            change_basis_matrix(a, t)
+        with pytest.raises(SingularMatrix):
+            change_basis_multilinear(a, t)
 
     def test_diagonal_reweights_parameters(self):
         t = Matrix.diagonal([1, 2, 4, 2, 1])
