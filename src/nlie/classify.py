@@ -648,12 +648,35 @@ def _grid_isotropic(g: Matrix, top: int, budget: int) -> Optional[Vector]:
     return None
 
 
+def _is_definite(g: Matrix) -> bool:
+    """Is the symmetric form g definite? Its leading principal minors,
+    read as the pivots of one fraction-free elimination without row swaps,
+    must all be positive or alternate in sign starting below zero; a zero
+    pivot means g is not definite."""
+    rows, _ = clear_rows(g.entries, g.cols)
+    r = len(rows)
+    step = -1 if rows[0][0] < 0 else 1
+    want = step
+    prev = 1
+    for k in range(r):
+        p = rows[k][k]
+        if p * want <= 0:
+            return False
+        for i in range(k + 1, r):
+            for j in range(k + 1, r):
+                rows[i][j] = (rows[i][j] * p - rows[i][k] * rows[k][j]) // prev
+        prev = p
+        want *= step
+    return True
+
+
 def _isotropic_vector(g: Matrix) -> Optional[Vector]:
     """A nonzero vector of zero length, for a nonsingular symmetric form.
 
-    A small grid almost always has a hit and keeps every later number
-    small; the diagonalize-and-descend route behind it is the complete
-    answer for forms whose zeros are all large.
+    A definite form has none. Otherwise a small grid almost always has a
+    hit and keeps every later number small; the diagonalize-and-descend
+    route behind it is the complete answer for forms whose zeros are all
+    large.
     """
     r = g.cols
     if r < 2:
@@ -666,6 +689,8 @@ def _isotropic_vector(g: Matrix) -> Optional[Vector]:
         if s is None:
             return None
         return s - g.entries[0][1], g.entries[0][0]
+    if _is_definite(g):
+        return None
     hit = _grid_isotropic(g, 40, 60000)
     if hit is not None:
         return hit

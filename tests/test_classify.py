@@ -11,10 +11,10 @@ from nlie.catalog import (
 )
 from nlie.classify import (
     EXACT, FAMILY_ONLY, UNRESOLVED, classify, classify_np1, classify_np2,
-    _ternary_zero,
+    _is_definite, _isotropic_vector, _ternary_zero,
 )
 from nlie.errors import DimensionMismatch, InvalidAlgebra, UnsupportedArity
-from nlie.exactlin import Matrix, invert
+from nlie.exactlin import Matrix, det, invert
 from nlie.transform import (
     change_basis_multilinear, random_basis_change, verify_isomorphism,
 )
@@ -198,6 +198,39 @@ class TestFamilyOnlyObstructions:
         t0 = time.time()
         classify(a)
         assert time.time() - t0 < 5.0
+
+    def test_definite_form_skips_the_grid(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("grid scan on a definite form")
+
+        monkeypatch.setattr(importlib.import_module("nlie.classify"),
+                            "_grid_isotropic", no_grid)
+        assert _isotropic_vector(Matrix.diagonal([1, 2, 3, 5])) is None
+        assert _isotropic_vector(Matrix([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])) is None
+        v = classify(Algebra(3, 4, {(1, 2, 3): unit(4, 0, -1),
+                                    (0, 2, 3): unit(4, 1),
+                                    (0, 1, 3): unit(4, 2, -1)}))
+        assert v.status == FAMILY_ONLY and v.label == ClassLabel("D_r", r=3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda r: st.tuples(
+        st.lists(st.lists(st.fractions(-3, 3, max_denominator=3),
+                          min_size=r, max_size=r), min_size=r, max_size=r),
+        st.sampled_from(["symmetric", "gram", "negative gram"]))))
+    def test_is_definite_follows_sylvester(self, case):
+        # oracle: the leading principal minors by the library determinant
+        rows, kind = case
+        r = len(rows)
+        if kind == "symmetric":
+            g = [[rows[i][j] if i <= j else rows[j][i] for j in range(r)] for i in range(r)]
+        else:
+            sign = 1 if kind == "gram" else -1
+            g = [[sign * sum(rows[k][i] * rows[k][j] for k in range(r)) for j in range(r)]
+                 for i in range(r)]
+        minors = [det(Matrix([row[:k] for row in g[:k]])) for k in range(1, r + 1)]
+        expected = all(m > 0 for m in minors) or \
+            all(m * (-1) ** k > 0 for k, m in enumerate(minors, start=1))
+        assert _is_definite(Matrix(g)) == expected
 
 
 class TestUnresolvedGaps:
