@@ -325,8 +325,7 @@ def _cmd_orbit_test(args) -> int:
             problems.append("derivation identity broken")
         if invariant_signature(moved) != sig:
             problems.append("invariant signature changed")
-        if a.dim == a.arity + 2 and \
-                change_basis_matrix(a, t) != change_basis_multilinear(a, t):
+        if a.dim == a.arity + 2 and change_basis_matrix(a, t) != moved:
             problems.append("matrix and multilinear transports disagree")
         results.append((seed, problems))
     bad = [(s, p) for s, p in results if p]
